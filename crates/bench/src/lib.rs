@@ -13,8 +13,10 @@
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator
 //! with a documented cost model, not an EPYC testbed); the *shape* —
-//! orderings, ratios, crossovers — is the reproduction target. See
-//! EXPERIMENTS.md for paper-vs-measured values.
+//! orderings, ratios, crossovers — is the reproduction target. Each
+//! module renders its rows in the paper's table/figure style, and its
+//! tests assert the paper's shape (e.g. the SpecTaint-vs-SpecFuzz
+//! slowdown band in [`runtime`]).
 
 use teapot_cc::Options;
 use teapot_obj::Binary;

@@ -203,38 +203,26 @@ fn file_label(path: &str) -> String {
         .unwrap_or_else(|| path.to_string())
 }
 
-/// Emits one `vm` event per shard plus the merged `counters` event.
-///
-/// The merge runs through the sharded lock-free [`Registry`] — the same
-/// path a live exporter would use — rather than a plain fold, so the
-/// registry aggregation is exercised on every `--metrics` run. Field
-/// names come from [`teapot_telemetry::VmCounters::for_each`], keeping
-/// the JSONL schema pinned to the counter struct.
+/// Emits one `vm` event per shard plus the `counters` event: the
+/// per-shard counters folded with [`teapot_telemetry::VmCounters::merge`].
+/// Field names come from [`teapot_telemetry::VmCounters::for_each`],
+/// keeping the JSONL schema pinned to the counter struct.
 fn emit_vm_metrics(
     sink: &mut teapot_telemetry::MetricsSink,
     per_shard: &[teapot_telemetry::VmCounters],
 ) {
-    use teapot_telemetry::{Event, Registry, VmCounters};
-    for (i, c) in per_shard.iter().enumerate() {
-        let mut ev = Some(Event::new("vm").num("shard", i as u64));
+    use teapot_telemetry::{Event, VmCounters};
+    let emit = |sink: &mut teapot_telemetry::MetricsSink, ev: Event, c: &VmCounters| {
+        let mut ev = Some(ev);
         c.for_each(|name, v| ev = Some(ev.take().expect("event slot").num(name, v)));
         sink.emit(ev.expect("event slot"));
-    }
-    let mut reg = Registry::new(per_shard.len().max(1));
-    let mut ids = Vec::new();
-    VmCounters::default().for_each(|name, _| ids.push(reg.register(name)));
+    };
+    let mut total = VmCounters::default();
     for (i, c) in per_shard.iter().enumerate() {
-        let mut k = 0;
-        c.for_each(|_, v| {
-            reg.add(i, ids[k], v);
-            k += 1;
-        });
+        emit(sink, Event::new("vm").num("shard", i as u64), c);
+        total.merge(c);
     }
-    let mut ev = Some(Event::new("counters"));
-    for (name, v) in reg.snapshot() {
-        ev = Some(ev.take().expect("event slot").num(&name, v));
-    }
-    sink.emit(ev.expect("event slot"));
+    emit(sink, Event::new("counters"), &total);
 }
 
 /// Emits one `cost_hist` event per shard (only nonzero buckets, keyed
@@ -838,6 +826,9 @@ fn run_fleet_campaign(
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    // Reject a stale or misspelled tier override up front: the VM would
+    // otherwise panic on it at the first run.
+    teapot_vm::DispatchTier::from_env()?;
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
     match cmd {
         "compile" => {

@@ -322,3 +322,98 @@ fn tcs_fingerprint_mismatch_names_both_fingerprints() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The numeric `"key":value` fields of one flat metrics line, in order.
+fn numeric_fields(line: &str) -> Vec<(String, u64)> {
+    line.trim_matches(|c| c == '{' || c == '}')
+        .split(',')
+        .filter_map(|kv| {
+            let (k, v) = kv.split_once(':')?;
+            Some((k.trim_matches('"').to_string(), v.parse().ok()?))
+        })
+        .collect()
+}
+
+#[test]
+fn metrics_counters_line_is_the_key_wise_sum_of_the_vm_lines() {
+    let dir = std::env::temp_dir().join("teapot-cli-metrics-test");
+    let inst = build_victim(&dir);
+    let metrics = dir.join("m.jsonl");
+    let (ok, text) = run_cli(&[
+        "campaign",
+        inst.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--epochs",
+        "1",
+        "--iters",
+        "20",
+        "--no-triage",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    let stream = std::fs::read_to_string(&metrics).unwrap();
+    let of = |event: &str| -> Vec<Vec<(String, u64)>> {
+        let tag = format!("{{\"event\":\"{event}\",");
+        stream
+            .lines()
+            .filter(|l| l.starts_with(&tag))
+            .map(numeric_fields)
+            .collect()
+    };
+    let vm = of("vm");
+    let counters = of("counters");
+    assert_eq!(vm.len(), 2, "one vm line per shard: {stream}");
+    assert_eq!(counters.len(), 1, "one counters line: {stream}");
+
+    let mut sum: Vec<(String, u64)> = vm[0][1..].iter().map(|(k, _)| (k.clone(), 0)).collect();
+    for (shard, line) in vm.iter().enumerate() {
+        assert_eq!(line[0], ("shard".to_string(), shard as u64));
+        for ((k, total), (lk, v)) in sum.iter_mut().zip(&line[1..]) {
+            assert_eq!(k, lk, "shards list the same keys in the same order");
+            *total += v;
+        }
+    }
+    assert_eq!(counters[0], sum);
+    let compiled = sum.iter().find(|(k, _)| k == "compiled_insts").unwrap().1;
+    assert!(
+        compiled > 0,
+        "the campaign ran on the compiled tier: {sum:?}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_dispatch_tier_is_rejected() {
+    let dir = std::env::temp_dir().join("teapot-cli-dispatch-tier-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "jsmn");
+    let run_with = |tier: &str| {
+        let out = Command::new(teapot_bin())
+            .args(["run", inst.to_str().unwrap()])
+            .env("TEAPOT_DISPATCH_TIER", tier)
+            .output()
+            .expect("spawn teapot");
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    // `slice` named a tier that no longer exists: a stale script must
+    // fail loudly instead of silently comparing compiled with compiled.
+    for bad in ["slice", "bogus"] {
+        let (ok, err) = run_with(bad);
+        assert!(!ok, "TEAPOT_DISPATCH_TIER={bad} must fail");
+        assert!(err.contains(&format!("`{bad}`")), "{err}");
+        assert!(err.contains("compiled, step"), "{err}");
+    }
+    for good in ["compiled", "step"] {
+        let (ok, err) = run_with(good);
+        assert!(ok, "TEAPOT_DISPATCH_TIER={good}: {err}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -32,7 +32,7 @@
 //! | `shard` | `epoch`, `shard`, `execs` (delta this epoch), `corpus`, `cov_normal`, `cov_spec`, `gadgets` |
 //! | `gadget_first_seen` | `shard`, `exec` (1-based ordinal within the shard), `pc`, `model` |
 //! | `vm` | `shard` + one key per [`VmCounters`] field (see [`VmCounters::for_each`]); the `t_prov_*` trio counts provenance-replay work (origin bytes written, interval folds, leak sites) and is zero on campaign runs |
-//! | `counters` | the merged registry snapshot: one key per registered counter, summed over shards |
+//! | `counters` | the `vm` counters summed over shards ([`VmCounters::merge`]): the same keys in the same order, without `shard` |
 //! | `cost_hist` | `shard`, then `b<k>` = number of runs whose cost had `ilog2 == k` |
 //! | `hot_block` | `rank`, `pc`, `end`, `orig_pc`, `symbol` (or `null`), `cost`, `insts`, `hits` |
 //! | `triage` | `replays`, `minimize_steps`, `witnesses`, `replay_failures`, `dedup_collapses`, `root_causes`, `replay_ms`, `minimize_ms` |
@@ -82,8 +82,9 @@ pub struct VmCounters {
     /// Compiled windows exited early (divergence or fault fallback to
     /// the per-step interpreter).
     pub compiled_exits: u64,
-    /// Instructions retired through block-slice superinstruction
-    /// dispatch.
+    /// Always 0: the VM has two dispatch tiers (compiled and step). The
+    /// field and its `slice_insts` metrics key remain only because
+    /// existing stream consumers sum the three tier counters.
     pub slice_insts: u64,
     /// Instructions retired one `step()` at a time.
     pub step_insts: u64,
@@ -130,7 +131,7 @@ impl VmCounters {
     }
 
     /// Visits every counter as a `(name, value)` pair in the one
-    /// canonical order shared by the registry, the `vm` metrics event
+    /// canonical order shared by the `vm` and `counters` metrics events
     /// and `teapot stats` — so the schema cannot drift between them.
     pub fn for_each(&self, mut f: impl FnMut(&str, u64)) {
         f("tlb_hits", self.tlb_hits);
@@ -156,75 +157,6 @@ impl VmCounters {
         f("t_prov_bytes", self.prov_bytes);
         f("t_prov_folds", self.prov_folds);
         f("t_prov_leaks", self.prov_leaks);
-    }
-}
-
-/// Id of a counter registered in a [`Registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// A lock-free registry of sharded counters.
-///
-/// Counters are registered once (single-threaded setup), then any
-/// number of threads may [`Registry::add`] to their own shard's cells
-/// concurrently — each `(shard, counter)` pair is an independent
-/// [`AtomicU64`], so there is no contention between shards and no lock
-/// anywhere. [`Registry::snapshot`] sums across shards in registration
-/// order, which makes the snapshot a pure function of the *values
-/// added*, independent of thread interleaving (pinned by a unit test
-/// below).
-pub struct Registry {
-    names: Vec<String>,
-    shards: usize,
-    /// Shard-major: `cells[shard * names.len() + counter]`.
-    cells: Vec<AtomicU64>,
-}
-
-impl Registry {
-    /// A registry with `shards` independent cell banks.
-    pub fn new(shards: usize) -> Registry {
-        Registry {
-            names: Vec::new(),
-            shards: shards.max(1),
-            cells: Vec::new(),
-        }
-    }
-
-    /// Registers a named counter (setup phase, before concurrent use).
-    /// Re-registering a name returns the existing id.
-    pub fn register(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return CounterId(i);
-        }
-        self.names.push(name.to_string());
-        self.cells
-            .resize_with(self.names.len() * self.shards, AtomicU64::default);
-        CounterId(self.names.len() - 1)
-    }
-
-    /// Adds `v` to a counter in `shard`'s bank. Relaxed ordering: the
-    /// values are statistics, snapshot consistency comes from reading
-    /// after the writer threads joined.
-    pub fn add(&self, shard: usize, id: CounterId, v: u64) {
-        let w = self.names.len();
-        let cell = &self.cells[(shard % self.shards) * w + id.0];
-        cell.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// `(name, value)` pairs in registration order, each value summed
-    /// over shards.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let w = self.names.len();
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let total = (0..self.shards)
-                    .map(|s| self.cells[s * w + i].load(Ordering::Relaxed))
-                    .sum();
-                (n.clone(), total)
-            })
-            .collect()
     }
 }
 
@@ -627,31 +559,6 @@ pub fn format_decode_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_snapshot_is_deterministic_across_interleavings() {
-        // Same per-shard values added in different orders (simulating
-        // different thread schedules) snapshot identically.
-        let build = |order: &[(usize, u64)]| {
-            let mut r = Registry::new(4);
-            let a = r.register("alpha");
-            let b = r.register("beta");
-            for &(shard, v) in order {
-                r.add(shard, a, v);
-                r.add(shard, b, 2 * v);
-            }
-            r.snapshot()
-        };
-        let s1 = build(&[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let s2 = build(&[(3, 4), (1, 2), (0, 1), (2, 3)]);
-        assert_eq!(s1, s2);
-        assert_eq!(s1[0], ("alpha".to_string(), 10));
-        assert_eq!(s1[1], ("beta".to_string(), 20));
-        // Registration is idempotent.
-        let mut r = Registry::new(1);
-        let x = r.register("x");
-        assert_eq!(r.register("x"), x);
-    }
 
     #[test]
     fn vm_counters_merge_and_canonical_order() {

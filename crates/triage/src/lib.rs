@@ -72,11 +72,11 @@ pub mod replay;
 pub mod sarif;
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 use teapot_campaign::queue::QueueOutcome;
 use teapot_campaign::{CampaignConfig, CampaignReport};
 use teapot_obj::Binary;
 use teapot_rt::{GadgetKey, GadgetReport, GadgetWitness};
-use teapot_telemetry::Stopwatch;
 use teapot_vm::Program;
 
 pub use db::{BinaryStats, TriageDb, TriageEntry, TriageLocation};
@@ -128,7 +128,9 @@ pub struct TriageStats {
 /// Wall-clock phase timing of a triage pass. Kept separate from
 /// [`TriageStats`] (which stays wall-clock-free and `Eq`-comparable):
 /// these values may only ever appear in telemetry output, never in the
-/// byte-pinned reports.
+/// byte-pinned reports. Each phase is summed as a [`Duration`] over the
+/// whole pass and cut to whole milliseconds once at the end, so
+/// sub-millisecond per-witness work still counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriagePhaseTimes {
     /// Milliseconds spent processing witnesses end to end (replay
@@ -244,12 +246,24 @@ pub fn triage_timed<'a>(
 
     let mut db = TriageDb::new();
     let mut stats = TriageStats::default();
-    let mut times = TriagePhaseTimes::default();
+    let mut times = PhaseDurations::default();
     for input in &inputs {
         triage_one(input, opts, &mut db, &mut stats, &mut times);
     }
     db.finalize();
+    let ms = |d: Duration| d.as_millis() as u64;
+    let times = TriagePhaseTimes {
+        replay_ms: ms(times.replay),
+        minimize_ms: ms(times.minimize),
+    };
     (db, stats, times)
+}
+
+/// Unrounded accumulators behind [`TriagePhaseTimes`].
+#[derive(Default)]
+struct PhaseDurations {
+    replay: Duration,
+    minimize: Duration,
 }
 
 fn triage_one(
@@ -257,7 +271,7 @@ fn triage_one(
     opts: &TriageOptions,
     db: &mut TriageDb,
     stats: &mut TriageStats,
-    times: &mut TriagePhaseTimes,
+    times: &mut PhaseDurations,
 ) {
     let report = input.report;
     let prog = Program::shared(input.bin);
@@ -280,20 +294,20 @@ fn triage_one(
         // minimize() performs the validation replay itself (its `None`
         // is exactly "the witness did not reproduce"), so the witness is
         // executed once, not twice.
-        let watch = Stopwatch::new();
+        let watch = Instant::now();
         let (replayed, minimized, steps) = if opts.minimize {
             let r = match minimize(&mut rp, w, opts.max_minimize_steps) {
                 Some(m) => (true, Some(m.input), m.steps),
                 None => (false, None, 0),
             };
-            times.minimize_ms += watch.ms();
+            times.minimize += watch.elapsed();
             r
         } else {
             let outcome = rp.replay(w);
             let minimized = outcome.reproduced.then(|| w.input.clone());
             (outcome.reproduced, minimized, 0)
         };
-        times.replay_ms += watch.ms();
+        times.replay += watch.elapsed();
         if !replayed {
             stats.replay_failures += 1;
         }

@@ -8,7 +8,7 @@ use teapot_cc::{compile_to_binary, Options};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
 use teapot_rt::{GadgetReport, SpecModelSet, TraceEvent};
-use teapot_vm::{ExecContext, Machine, Program, RunOptions, SpecHeuristics};
+use teapot_vm::{DispatchTier, ExecContext, Machine, Program, RunOptions, SpecHeuristics};
 
 fn instrumented(src: &str) -> Binary {
     let mut bin = compile_to_binary(src, &Options::gcc_like()).unwrap();
@@ -162,4 +162,57 @@ fn provenance_counters_count_only_provenance_runs() {
     assert_eq!(off.prov_bytes, 0);
     assert_eq!(off.prov_folds, 0);
     assert_eq!(off.prov_leaks, 0);
+}
+
+#[test]
+fn provenance_runs_stay_on_the_step_tier_with_identical_outcomes() {
+    // The compiled templates carry no origin propagation, so a
+    // provenance run must retire every instruction through `step()` —
+    // and still produce exactly the outcome of a provenance-off run
+    // forced onto the same tier.
+    for (wl, models) in [
+        (teapot_workloads::rsb_like(), "pht,rsb"),
+        (teapot_workloads::stl_like(), "pht,stl"),
+    ] {
+        let bin = instrumented(wl.plain_source().as_str());
+        let prog = Program::shared(&bin);
+        let run = |provenance: bool| {
+            let mut ctx = ExecContext::new(&prog);
+            ctx.set_witness_recording(true);
+            ctx.set_provenance(provenance);
+            let mut heur = SpecHeuristics::default();
+            let opts = RunOptions {
+                input: TRIGGER.to_vec(),
+                models: SpecModelSet::parse(models).unwrap(),
+                ..RunOptions::default()
+            };
+            let mut m = Machine::with_context(&prog, &mut ctx, opts);
+            if !provenance {
+                m.set_dispatch_tier(DispatchTier::Step);
+            }
+            let outcome = m.run(&mut heur);
+            (outcome, ctx.counters_snapshot())
+        };
+        let (on, c) = run(true);
+        assert!(!on.gadgets.is_empty(), "{}: planted gadget fires", wl.name);
+        assert!(c.prov_bytes > 0, "{}: the origin shadow ran", wl.name);
+        assert_eq!(c.compiled_insts, 0, "{}: no compiled records", wl.name);
+        assert_eq!(c.step_insts, on.insts, "{}: every inst on step()", wl.name);
+        let (off, _) = run(false);
+        let what = wl.name;
+        assert_eq!(on.status, off.status, "{what}: status");
+        assert_eq!(on.cost, off.cost, "{what}: cost units");
+        assert_eq!(on.insts, off.insts, "{what}: instruction count");
+        assert_eq!(on.gadgets, off.gadgets, "{what}: gadget reports");
+        assert_eq!(
+            on.cov_normal.raw(),
+            off.cov_normal.raw(),
+            "{what}: normal cov"
+        );
+        assert_eq!(on.cov_spec.raw(), off.cov_spec.raw(), "{what}: spec cov");
+        assert_eq!(on.output, off.output, "{what}: program output");
+        assert_eq!(on.sim_entries, off.sim_entries, "{what}: sim entries");
+        assert_eq!(on.rollbacks, off.rollbacks, "{what}: rollbacks");
+        assert_eq!(on.escapes, off.escapes, "{what}: escapes");
+    }
 }

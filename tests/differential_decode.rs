@@ -10,11 +10,11 @@
 //! `RunOutcome`s: status, cost accounting, instruction counts, gadget
 //! reports, both coverage maps, program output and simulation counters.
 //!
-//! The dispatch half of the suite is a three-way matrix: the compiled
-//! execution tier and the block-slice dispatcher are each differenced
-//! against single-step interpretation (via `Machine::set_dispatch_tier`)
-//! over the same workloads, model sets and adversarial inputs, plus a
-//! deterministic random-fuel sweep that cuts runs off mid-window.
+//! The dispatch half of the suite is a two-way matrix: the compiled
+//! execution tier is differenced against single-step interpretation
+//! (via `Machine::set_dispatch_tier`) over the same workloads, model
+//! sets and adversarial inputs, plus a deterministic random-fuel sweep
+//! that cuts runs off mid-window.
 
 use teapot::cc::Options;
 use teapot::core::{rewrite, RewriteOptions};
@@ -43,7 +43,7 @@ fn outcome(
 }
 
 /// Like [`outcome`] but forcing an explicit dispatch tier (compiled
-/// windows / block slices / single-step) instead of the decode path,
+/// windows / single-step) instead of the decode path,
 /// under an explicit model set and fuel budget.
 fn outcome_tier(
     bin: &Binary,
@@ -66,13 +66,11 @@ fn outcome_tier(
     m.run(&mut heur)
 }
 
-/// Runs the same input on all three dispatch tiers and asserts the
+/// Runs the same input on both dispatch tiers and asserts the
 /// `RunOutcome`s are bit-identical, with single-step as the reference.
 fn assert_tiers_agree(bin: &Binary, input: &[u8], models: SpecModelSet, fuel: u64, what: &str) {
     let step = outcome_tier(bin, input, models, DispatchTier::Step, fuel);
-    let slice = outcome_tier(bin, input, models, DispatchTier::Slice, fuel);
     let compiled = outcome_tier(bin, input, models, DispatchTier::Compiled, fuel);
-    assert_outcomes_equal(&slice, &step, &format!("{what}: slice vs step"));
     assert_outcomes_equal(&compiled, &step, &format!("{what}: compiled vs step"));
 }
 
@@ -254,13 +252,13 @@ fn pooled_context_reuse_matches_fresh_machines() {
 }
 
 #[test]
-fn dispatch_matrix_is_identical_across_all_three_tiers() {
-    // The compiled-window and block-slice fast paths must both be
-    // observably identical to per-instruction dispatch — across the
-    // full workload suite (Teapot-instrumented), the planted RSB/STL
-    // ground-truth programs, and the full speculation-model set
-    // (checkpoint pushes, store-buffer bypasses and RSB mispredictions
-    // all cut slices and compiled windows short mid-run).
+fn dispatch_matrix_is_identical_across_both_tiers() {
+    // The compiled-window fast path must be observably identical to
+    // per-instruction dispatch — across the full workload suite
+    // (Teapot-instrumented), the planted RSB/STL ground-truth programs,
+    // and the full speculation-model set (checkpoint pushes,
+    // store-buffer bypasses and RSB mispredictions all cut compiled
+    // windows short mid-run).
     let all_models = SpecModelSet::parse("pht,rsb,stl").unwrap();
     let fuel = RunOptions::default().fuel;
     let mut suite = teapot::workloads::all();
@@ -294,7 +292,7 @@ fn dispatch_matrix_is_identical_across_all_three_tiers() {
 #[test]
 fn dispatch_matrix_matches_on_single_copy_baseline() {
     // Single-copy (SpecFuzz-style) layouts exercise the cost-zeroing
-    // rule and in-place simulation; both fast tiers must reproduce them.
+    // rule and in-place simulation; the compiled tier must reproduce them.
     let w = teapot::workloads::jsmn_like();
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
@@ -322,12 +320,12 @@ fn dispatch_matrix_matches_on_single_copy_baseline() {
 }
 
 #[test]
-fn random_fuel_limits_land_identically_on_all_three_tiers() {
+fn random_fuel_limits_land_identically_on_both_tiers() {
     // A deterministic xorshift sweep of fuel budgets cuts runs off at
-    // arbitrary points — including mid-slice and mid-compiled-window,
-    // where the compiled tier must decline the window rather than
-    // overshoot the budget — and every tier must land the same fault
-    // or exit at the same cost.
+    // arbitrary points — including mid-compiled-window, where the
+    // compiled tier must decline the window rather than overshoot the
+    // budget — and both tiers must land the same fault or exit at the
+    // same cost.
     let w = teapot::workloads::jsmn_like();
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
